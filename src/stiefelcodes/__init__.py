@@ -43,7 +43,6 @@ from .bounds import (
 )
 from .core import (
     DEFAULT_STIEFEL_TOL,
-    FILE_STIEFEL_TOL,
     Field,
     StiefelCode,
     StiefelPoint,
@@ -91,7 +90,6 @@ __all__ = [
     "Classification",
     "CodeReport",
     "DEFAULT_STIEFEL_TOL",
-    "FILE_STIEFEL_TOL",
     "Field",
     "HadamardMatrix",
     "O2Solution",

@@ -1,194 +1,115 @@
-"""Hot numeric kernels: pairwise chordal distances and the smoothed min-distance
-objective used by the optimizer.
+"""Hot numeric kernels: the Gram matrix of real trace inner products, pairwise
+chordal distances, and the smoothed min-distance objective used by the
+optimizer.
 
-Two interchangeable backends are provided:
+Every kernel runs on one product.  A complex128 stack of n points of shape
+(d, r) is viewed as n real rows of length 2*d*r,
+``V = mats.view(np.float64).reshape(n, 2*d*r)``, and ``V @ V.T`` is
+Re Tr(X_i* X_j) exactly: one real GEMM, with no complex product.  Squared
+distances come from its diagonal, d2_ij = G_ii + G_jj - 2 G_ij, and the
+gradient of a weighted sum of squared distances is ``2 (diag(rowsum W) - W) V``.
 
-* numba: typed loops compiled with ``@njit(cache=True, nogil=True)``; used by
-  default when numba imports.
-* numpy: vectorized einsum fallback; selected by setting ``STIEFEL_NUMBA=0``
-  in the environment (or automatically when numba is unavailable).
-
-Each backend is deterministic run-to-run.  The two backends may disagree in
-the last few ulps because their summation orders differ, so cross-backend
-comparisons must be tolerance-based.  All kernels take an (n, d, r)
-complex128 C-contiguous array.
+The two softmin kernels also accept a leading restart axis, (R, n, d, r), and
+then return one value per restart.  Each restart's numbers do not depend on
+the others in the stack, and every kernel is deterministic run to run.
 """
 
 from __future__ import annotations
 
-import math
-import os
+from functools import lru_cache
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-
-def _coerce(mats: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(mats, dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy backend
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n matrix,
+    read-only because every caller shares them."""
+    idx = np.triu_indices(n, 1)
+    for a in idx:
+        a.setflags(write=False)
+    return idx
 
 
-def pairwise_sq_dists_numpy(mats: np.ndarray) -> np.ndarray:
+def _rows(mats: np.ndarray) -> np.ndarray:
+    """The (..., n, 2*d*r) float64 view of an (..., n, d, r) complex stack."""
+    mats = np.ascontiguousarray(mats, dtype=np.complex128)
+    return mats.view(np.float64).reshape(*mats.shape[:-2], -1)
+
+
+def _gram(v: np.ndarray) -> np.ndarray:
+    return v @ np.swapaxes(v, -1, -2)
+
+
+def gram_real_trace(mats: np.ndarray) -> np.ndarray:
+    """(n, n) matrix of Re Tr(X_i* X_j)."""
+    return _gram(_rows(mats))
+
+
+def pairwise_sq_dists(mats: np.ndarray) -> np.ndarray:
     """Symmetric (n, n) matrix of squared Frobenius distances."""
-    mats = _coerce(mats)
-    g = np.einsum("iab,jab->ij", mats.conj(), mats).real
-    sq = np.einsum("iab,iab->i", mats.conj(), mats).real
-    out = sq[:, None] + sq[None, :] - 2.0 * g
+    g = _gram(_rows(mats))
+    sq = np.diagonal(g)
+    out = sq[:, None] + sq[None, :]
+    out -= 2.0 * g
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 
 
-def gram_real_trace_numpy(mats: np.ndarray) -> np.ndarray:
-    """(n, n) matrix of Re Tr(X_i* X_j)."""
-    mats = _coerce(mats)
-    return np.einsum("iab,jab->ij", mats.conj(), mats).real
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis in plain left-to-right order.
+
+    ``a.sum(axis=-1)`` picks pairwise or sequential summation by the shape of
+    the whole array, so a row's sum would change with the size of the stack
+    it sits in; an accumulation has only one order.
+    """
+    return np.cumsum(a, axis=-1)[..., -1]
 
 
-def _softmin_terms_numpy(mats: np.ndarray, beta: float):
-    dsq = pairwise_sq_dists_numpy(mats)
-    n = dsq.shape[0]
-    iu = np.triu_indices(n, 1)
-    vals = dsq[iu]
-    m = float(vals.min())
-    expw = np.zeros_like(dsq)
-    expw[iu] = np.exp(-beta * (vals - m))
-    expw += expw.T
-    tot = float(expw[iu].sum())
-    return m, expw, tot
+def _softmin_terms(v: np.ndarray, beta: float):
+    """Normalised pair weights and the objective, per leading index of the
+    row stack `v`."""
+    iu, ju = _upper(v.shape[-2])
+    g = _gram(v)
+    sq = np.diagonal(g, axis1=-2, axis2=-1)
+    vals = sq[..., iu] + sq[..., ju] - 2.0 * g[..., iu, ju]
+    m = vals.min(axis=-1)
+    e = np.exp(-beta * (vals - m[..., None]))
+    tot = row_sums(e)
+    return e / tot[..., None], m - np.log(tot) / beta
 
 
-def softmin_value_numpy(mats: np.ndarray, beta: float) -> float:
+def _scalar(f: np.ndarray, mats: np.ndarray):
+    return float(f) if np.ndim(mats) == 3 else f
+
+
+def softmin_value(mats: np.ndarray, beta: float):
     """Smooth lower proxy for the minimum squared pairwise distance.
 
-    Equals min_{i<j} d2_ij - log(sum_{i<j} exp(-beta (d2_ij - min))) / beta.
+    Equals min_{i<j} d2_ij - log(sum_{i<j} exp(-beta (d2_ij - min))) / beta;
+    a float for one (n, d, r) code, an (R,) array for an (R, n, d, r) stack.
     """
-    m, _, tot = _softmin_terms_numpy(mats, beta)
-    return m - math.log(tot) / beta
+    _, f = _softmin_terms(_rows(mats), beta)
+    return _scalar(f, mats)
 
 
-def softmin_value_grad_numpy(mats: np.ndarray, beta: float):
-    """Value and ambient (Euclidean) gradient of the smoothed objective."""
-    mats = _coerce(mats)
-    m, expw, tot = _softmin_terms_numpy(mats, beta)
-    w = expw / tot
-    row = w.sum(axis=1)
-    grad = 2.0 * (row[:, None, None] * mats - np.einsum("ij,jab->iab", w, mats))
-    return m - math.log(tot) / beta, grad
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _nb_pairwise_sq_dists(mats):
-        n, d, r = mats.shape
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = 0.0
-                for a in range(d):
-                    for b in range(r):
-                        z = mats[i, a, b] - mats[j, a, b]
-                        s += z.real * z.real + z.imag * z.imag
-                out[i, j] = s
-                out[j, i] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _nb_gram_real_trace(mats):
-        n, d, r = mats.shape
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                s = 0.0
-                for a in range(d):
-                    for b in range(r):
-                        x = mats[i, a, b]
-                        y = mats[j, a, b]
-                        s += x.real * y.real + x.imag * y.imag
-                out[i, j] = s
-                out[j, i] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _nb_softmin_value(mats, beta):
-        dsq = _nb_pairwise_sq_dists(mats)
-        n = dsq.shape[0]
-        m = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dsq[i, j] < m:
-                    m = dsq[i, j]
-        tot = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                tot += math.exp(-beta * (dsq[i, j] - m))
-        return m - math.log(tot) / beta
-
-    @njit(cache=True, nogil=True)
-    def _nb_softmin_value_grad(mats, beta):
-        n, d, r = mats.shape
-        dsq = _nb_pairwise_sq_dists(mats)
-        m = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dsq[i, j] < m:
-                    m = dsq[i, j]
-        tot = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                tot += math.exp(-beta * (dsq[i, j] - m))
-        grad = np.zeros((n, d, r), dtype=np.complex128)
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = math.exp(-beta * (dsq[i, j] - m)) / tot
-                for a in range(d):
-                    for b in range(r):
-                        g = 2.0 * w * (mats[i, a, b] - mats[j, a, b])
-                        grad[i, a, b] += g
-                        grad[j, a, b] -= g
-        return m - math.log(tot) / beta, grad
-
-    def pairwise_sq_dists_numba(mats):
-        return _nb_pairwise_sq_dists(_coerce(mats))
-
-    def gram_real_trace_numba(mats):
-        return _nb_gram_real_trace(_coerce(mats))
-
-    def softmin_value_numba(mats, beta):
-        return float(_nb_softmin_value(_coerce(mats), float(beta)))
-
-    def softmin_value_grad_numba(mats, beta):
-        f, g = _nb_softmin_value_grad(_coerce(mats), float(beta))
-        return float(f), g
-
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("STIEFEL_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    pairwise_sq_dists = pairwise_sq_dists_numba
-    gram_real_trace = gram_real_trace_numba
-    softmin_value = softmin_value_numba
-    softmin_value_grad = softmin_value_grad_numba
-else:
-    pairwise_sq_dists = pairwise_sq_dists_numpy
-    gram_real_trace = gram_real_trace_numpy
-    softmin_value = softmin_value_numpy
-    softmin_value_grad = softmin_value_grad_numpy
+def softmin_value_grad(mats: np.ndarray, beta: float):
+    """Value and ambient (Euclidean) gradient of the smoothed objective,
+    shaped like `mats`."""
+    v = _rows(mats)
+    w, f = _softmin_terms(v, beta)
+    n = v.shape[-2]
+    iu, ju = _upper(n)
+    lap = np.zeros(v.shape[:-1] + (n,))
+    lap[..., iu, ju] = -w
+    lap += np.swapaxes(lap, -1, -2)
+    diag = np.arange(n)
+    lap[..., diag, diag] = -row_sums(lap)
+    grad = 2.0 * (lap @ v)
+    return _scalar(f, mats), grad.view(np.complex128).reshape(np.shape(mats))
 
 
 def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

@@ -142,11 +142,15 @@ def _try_ssc_routes(field: Field, d: int, r: int, n: int, memo: dict):
     if r == 2 and d % 2 == 0 and n <= m * d + 1:
         return ssc_symplectic_lift(field, d, n), "ssc_symplectic_lift"
     for name, design, res in _builtin_designs():
-        if n == design.v and d % design.b == 0 and r % design.rep == 0:
-            sub = _find_ssc(field, d // design.b, r // design.rep, design.k, memo)
-            if sub is not None:
-                code, prov = sub
-                return ssc_from_bibd(code, design, res), f"ssc_from_bibd({name}, {prov})"
+        if n != design.v or d % design.b or r % design.rep:
+            continue
+        sub_d, sub_r = d // design.b, r // design.rep
+        if sub_d < sub_r:  # no Stiefel manifold to recurse into
+            continue
+        sub = _find_ssc(field, sub_d, sub_r, design.k, memo)
+        if sub is not None:
+            code, prov = sub
+            return ssc_from_bibd(code, design, res), f"ssc_from_bibd({name}, {prov})"
     if field is Field.COMPLEX:
         sub = _find_ssc(Field.REAL, d, r, n, memo)
         if sub is not None:

@@ -17,8 +17,6 @@ from .errors import DimensionMismatch, InvalidParameter
 
 # Orthonormality tolerance for codes we construct ourselves.
 DEFAULT_STIEFEL_TOL = 1e-10
-# Looser default for codes ingested from files, which may carry rounded decimals.
-FILE_STIEFEL_TOL = 1e-8
 
 
 class Field(enum.Enum):
@@ -108,7 +106,8 @@ class StiefelCode:
 
     def max_stiefel_error(self) -> float:
         """Largest entry of |X* X - I| over all points of the code."""
-        return max(gram_defect(self.array[i]) for i in range(self.n))
+        g = np.conj(np.swapaxes(self.array, 1, 2)) @ self.array
+        return float(np.max(np.abs(g - np.eye(self.r))))
 
     def is_real_storage(self) -> bool:
         """True iff every stored imaginary part is exactly zero."""

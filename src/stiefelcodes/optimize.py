@@ -3,16 +3,17 @@
 The nonsmooth objective min_{i<j} ||X_i - X_j||_F^2 is replaced by the
 smooth surrogate -(1/beta) log sum exp(-beta d2_ij), ascended by projected
 gradient with a QR retraction and Armijo backtracking while beta grows on a
-geometric schedule.  Everything is deterministic for a fixed configuration:
-restart streams come from a counter-based split of the master seed, and the
-best restart is chosen by (min distance, lowest restart index), so serial
-and parallel execution agree.
+geometric schedule.  All restarts advance together as one (R, n, d, r)
+stack; each has its own Armijo search, warm-started at twice its last
+accepted step (Wen & Yin, Math. Prog. 2013), and its own stop rules.
+Everything is deterministic for a fixed configuration: restart streams come
+from a counter-based split of the master seed, a restart's bytes do not
+depend on the rest of the stack, and the best restart is chosen by
+(min distance, lowest restart index).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,19 +61,20 @@ class OptimizerConfig:
 
 
 def _retract(mats: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of each point (thin QR, positive diagonal)."""
+    """Orthonormalize the columns of each point (thin QR, positive diagonal);
+    any leading axes are a batch."""
     q, rr = np.linalg.qr(mats)
     diag = np.diagonal(rr, axis1=-2, axis2=-1)
     absd = np.abs(diag)
     phase = np.where(absd == 0, 1.0 + 0j, diag / np.where(absd == 0, 1.0, absd))
-    return q * phase[:, None, :]
+    return q * phase[..., None, :]
 
 
 def _tangent_project(mats: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Project ambient gradients onto the tangent spaces: G - X herm(X* G)."""
-    xtg = np.einsum("nba,nbc->nac", mats.conj(), grads)
-    herm = 0.5 * (xtg + np.conj(np.swapaxes(xtg, 1, 2)))
-    return grads - np.einsum("nab,nbc->nac", mats, herm)
+    xtg = np.conj(np.swapaxes(mats, -1, -2)) @ grads
+    herm = 0.5 * (xtg + np.conj(np.swapaxes(xtg, -1, -2)))
+    return grads - mats @ herm
 
 
 def _gaussian_stack(field: Field, d: int, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,35 +98,59 @@ def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _ascend(field: Field, d: int, r: int, n: int, config: OptimizerConfig, index: int):
-    rng = _restart_rng(config.seed, index)
-    x = _retract(_gaussian_stack(field, d, r, n, rng))
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each code in an (R, n, d, r) stack."""
+    flat = stack.view(np.float64).reshape(len(stack), -1)
+    return _kernels.row_sums(flat * flat)
+
+
+def _ascend(field: Field, d: int, r: int, n: int, config: OptimizerConfig, indices):
+    """Run the restarts `indices` as one (R, n, d, r) stack.
+
+    Each restart has its own Armijo search, started at twice its last
+    accepted step (capped at `step_size`), and leaves a beta stage when its
+    projected gradient vanishes or its search fails.  A restart's bytes do
+    not depend on which other restarts share the stack.  Returns the min
+    squared distance of each restart and the final stack.
+    """
+    indices = list(indices)
+    x = _retract(
+        np.stack([_gaussian_stack(field, d, r, n, _restart_rng(config.seed, i)) for i in indices])
+    )
+    step = np.full(len(indices), config.step_size)
     betas = config.betas()
     per_epoch = max(1, config.max_iters // len(betas))
     for beta in betas:
+        live = np.arange(len(indices))
         for _ in range(per_epoch):
-            f, g = _kernels.softmin_value_grad(x, beta)
-            if not np.isfinite(f):
-                raise NumericalFailure(f"non-finite objective in restart {index}")
-            xi = _tangent_project(x, g)
-            gsq = float(np.vdot(xi, xi).real)
-            if gsq <= config.grad_tol**2:
-                break
-            t = config.step_size
-            accepted = False
+            xs = x[live]
+            f, g = _kernels.softmin_value_grad(xs, beta)
+            bad = np.flatnonzero(~np.isfinite(f))
+            if bad.size:
+                raise NumericalFailure(f"non-finite objective in restart {indices[live[bad[0]]]}")
+            xi = _tangent_project(xs, g)
+            gsq = _sq_norms(xi)
+            moving = gsq > config.grad_tol**2
+            if not moving.all():
+                live, xs, f, xi, gsq = live[moving], xs[moving], f[moving], xi[moving], gsq[moving]
+            t = np.minimum(config.step_size, 2.0 * step[live])
+            pending = np.ones(live.size, dtype=bool)
             for _ in range(MAX_BACKTRACKS):
-                y = _retract(x + t * xi)
-                fy = _kernels.softmin_value(y, beta)
-                if fy >= f + ARMIJO_C * t * gsq:
-                    accepted = True
+                p = np.flatnonzero(pending)
+                if p.size == 0:
                     break
-                t *= config.backtrack
-            if not accepted:
+                y = _retract(xs[p] + t[p, None, None, None] * xi[p])
+                fy = _kernels.softmin_value(y, beta)
+                ok = fy >= f[p] + ARMIJO_C * t[p] * gsq[p]
+                x[live[p[ok]]] = y[ok]
+                pending[p[ok]] = False
+                t[p[~ok]] *= config.backtrack
+            step[live[~pending]] = t[~pending]
+            live = live[~pending]
+            if live.size == 0:
                 break
-            x = y
-    dsq = _kernels.pairwise_sq_dists(x)
     iu = np.triu_indices(n, 1)
-    return float(dsq[iu].min()), x
+    return [float(_kernels.pairwise_sq_dists(code)[iu].min()) for code in x], x
 
 
 def optimize(
@@ -133,38 +159,19 @@ def optimize(
     r: int,
     n: int,
     config: OptimizerConfig | None = None,
-    workers: int | None = None,
 ) -> tuple[StiefelCode, CodeReport]:
     """Best code over independent random restarts, with its certification.
 
-    `workers` controls restart-level parallelism; by default it comes from
-    the STIEFEL_THREADS environment variable (unset or 1 = serial, 0 = one
-    per CPU).  The result does not depend on the worker count.
+    All restarts advance together as one batch; the best is the largest
+    min distance, the lowest restart index on ties.
     """
     if d < r or r < 1 or n < 2:
         raise InvalidParameter(f"need d >= r >= 1 and n >= 2, got ({d}, {r}, {n})")
     config = config or OptimizerConfig()
-    if workers is None:
-        workers = int(os.environ.get("STIEFEL_THREADS", "1"))
-    if workers == 0:
-        workers = os.cpu_count() or 1
+    mins, stack = _ascend(field, d, r, n, config, range(config.restarts))
+    best_idx = int(np.argmax(mins))
 
-    def run(i: int):
-        return _ascend(field, d, r, n, config, i)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(config.restarts)))
-    else:
-        results = [run(i) for i in range(config.restarts)]
-
-    best_idx = 0
-    for i in range(1, config.restarts):
-        if results[i][0] > results[best_idx][0]:
-            best_idx = i
-    best_sq, best_x = results[best_idx]
-
-    code = StiefelCode(field, best_x)
+    code = StiefelCode(field, stack[best_idx])
     report = certify(code)
     if report.min_distance > simplex_bound(r, n) + config.distance_tol:
         raise NumericalFailure(

@@ -149,6 +149,20 @@ def test_best_exact_never_crashes_on_grid():
                     assert report.classification is not Classification.INVALID, prov
 
 
+@pytest.mark.parametrize(
+    "field,d", [(R, 6), (R, 7), (R, 8), (R, 9), (C, 7), (C, 8), (C, 9)]
+)
+def test_best_exact_skips_designs_without_a_sub_manifold(field, d):
+    # r = 6 over the 4-point designs asks for a (d // b, 2) sub-code with
+    # d // b < 2; the route is skipped and the tuple certifies elsewhere
+    code, report, prov = best_exact(field, d, 6, 4)
+    assert (code.field, code.d, code.r, code.n) == (field, d, 6, 4)
+    assert report.classification is Classification.SSC, prov
+    assert report.min_distance == pytest.approx(4.0, abs=1e-9)
+    assert brute_min_distance(code) == pytest.approx(4.0, abs=1e-9)
+    assert "ssc_from_bibd" not in prov
+
+
 def test_best_known_dispatch_completeness():
     # the dispatcher never loses to an individual construction it knows
     from stiefelcodes import (

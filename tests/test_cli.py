@@ -304,15 +304,3 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["simplex_cap"] == 9
-
-
-def test_optimizer_thread_env(monkeypatch):
-    import numpy as np
-
-    from stiefelcodes import OptimizerConfig, optimize
-
-    cfg = OptimizerConfig(restarts=3, max_iters=60)
-    base, _ = optimize(Field.REAL, 2, 1, 3, config=cfg)
-    monkeypatch.setenv("STIEFEL_THREADS", "3")
-    threaded, _ = optimize(Field.REAL, 2, 1, 3, config=cfg)
-    assert np.array_equal(base.array, threaded.array)

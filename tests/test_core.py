@@ -138,3 +138,15 @@ def test_code_array_is_readonly():
     code = random_code(Field.REAL, 3, 1, 2, seed=9)
     with pytest.raises(ValueError):
         code.array[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("field,d,r,n,seed", [(Field.REAL, 5, 2, 6, 1), (Field.COMPLEX, 4, 3, 9, 2)])
+def test_max_stiefel_error_matches_per_point_loop(field, d, r, n, seed):
+    # reference: the largest per-point |X* X - I| entry, one point at a time
+    from stiefelcodes.core import gram_defect
+
+    base = random_code(field, d, r, n, seed).array
+    perturbed = base * (1.0 + 1e-7 * np.arange(n))[:, None, None]
+    for arr in (base, perturbed):
+        code = StiefelCode(field, arr)
+        assert code.max_stiefel_error() == max(gram_defect(p) for p in code.array)

@@ -122,10 +122,42 @@ def test_optimize_deterministic_rerun():
     assert np.array_equal(a.array, b.array)
 
 
-def test_optimize_worker_count_does_not_change_result():
-    a, _ = optimize(R, 2, 1, 4, config=FAST, workers=1)
-    b, _ = optimize(R, 2, 1, 4, config=FAST, workers=4)
-    assert np.array_equal(a.array, b.array)
+def test_optimize_restart_bytes_do_not_depend_on_batch():
+    # white-box: restart i alone and restart i inside a batch of 16 agree
+    from stiefelcodes.optimize import _ascend
+
+    config = OptimizerConfig(restarts=16, max_iters=300, seed=3)
+    mins, stack = _ascend(C, 3, 2, 5, config, range(16))
+    for i in (0, 5, 15):
+        one_min, one = _ascend(C, 3, 2, 5, config, [i])
+        assert one_min == [mins[i]]
+        assert one[0].tobytes() == stack[i].tobytes()
+
+
+_BLAS_SNIPPET = """
+import hashlib
+from stiefelcodes import Field, OptimizerConfig, optimize
+code, _ = optimize(Field.REAL, 4, 2, 10, config=OptimizerConfig(restarts=6, max_iters=300))
+print(hashlib.sha256(code.array.tobytes()).hexdigest())
+"""
+
+
+def test_optimize_bytes_do_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_SNIPPET],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_optimize_iterates_stay_feasible():
