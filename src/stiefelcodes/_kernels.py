@@ -21,10 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strict upper triangle of an n x n matrix,
-    read-only because every caller shares them."""
+    read-only because every caller shares them.  Only a few recent sizes are
+    kept: `certify` sees every n of a sweep, and all n up to 324 would hold
+    about 90 MB of indices."""
     idx = np.triu_indices(n, 1)
     for a in idx:
         a.setflags(write=False)
@@ -48,7 +50,11 @@ def gram_real_trace(mats: np.ndarray) -> np.ndarray:
 
 def pairwise_sq_dists(mats: np.ndarray) -> np.ndarray:
     """Symmetric (n, n) matrix of squared Frobenius distances."""
-    g = _gram(_rows(mats))
+    return gram_sq_dists(_gram(_rows(mats)))
+
+
+def gram_sq_dists(g: np.ndarray) -> np.ndarray:
+    """`pairwise_sq_dists` from an already computed (n, n) Gram matrix."""
     sq = np.diagonal(g)
     out = sq[:, None] + sq[None, :]
     out -= 2.0 * g

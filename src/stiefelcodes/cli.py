@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
+
+import numpy as np
 
 from . import io
 from .atlas import best_exact, best_known, circle_code, find_ssc, o2_code, o2_solution
@@ -52,21 +55,25 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-_INFEASIBLE_ERRORS = (
-    InfeasibleParameters,
-    UnsupportedResidue,
-    UnsupportedDimension,
-    NoKnownConstruction,
-    BudgetExceeded,
-)
-_BAD_INPUT_ERRORS = (
-    InvalidParameter,
-    ParameterMismatch,
-    SchemaError,
-    UnknownDesign,
-    WrongField,
-    NotAnSSC,
-)
+# The exit code of each error a command can raise, looked up along the
+# exception's MRO.  Anything else is a bug and keeps its traceback.
+_EXIT_CODES = {
+    InvalidParameter: EXIT_BAD_INPUT,
+    ParameterMismatch: EXIT_BAD_INPUT,
+    SchemaError: EXIT_BAD_INPUT,
+    UnknownDesign: EXIT_BAD_INPUT,
+    WrongField: EXIT_BAD_INPUT,
+    NotAnSSC: EXIT_BAD_INPUT,
+    OSError: EXIT_BAD_INPUT,
+    json.JSONDecodeError: EXIT_BAD_INPUT,
+    UnicodeDecodeError: EXIT_BAD_INPUT,
+    InfeasibleParameters: EXIT_INFEASIBLE,
+    UnsupportedResidue: EXIT_INFEASIBLE,
+    UnsupportedDimension: EXIT_INFEASIBLE,
+    NoKnownConstruction: EXIT_INFEASIBLE,
+    BudgetExceeded: EXIT_INFEASIBLE,
+    NumericalFailure: EXIT_NUMERICAL,
+}
 
 METHODS = (
     "sphere",
@@ -117,13 +124,17 @@ def _load_seed(args) -> StiefelCode:
 def _load_hr_generators(args):
     if not args.hr_file:
         return None
-    import json
-
     with open(args.hr_file, "r", encoding="utf-8") as fp:
         data = json.load(fp)
-    return [
-        [[complex(entry[0], entry[1]) for entry in row] for row in mat] for mat in data
-    ]
+    try:
+        return [
+            np.array([[complex(entry[0], entry[1]) for entry in row] for row in mat])
+            for mat in data
+        ]
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise SchemaError(
+            f"{args.hr_file}: expected a list of matrices of [re, im] pairs ({exc})"
+        ) from exc
 
 
 def _build(args, field: Field):
@@ -190,14 +201,7 @@ def _build(args, field: Field):
 
 def cmd_construct(args) -> int:
     field = Field(args.field)
-    try:
-        code, claimed, provenance = _build(args, field)
-    except _BAD_INPUT_ERRORS as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
-    except _INFEASIBLE_ERRORS as exc:
-        _err(str(exc))
-        return EXIT_INFEASIBLE
+    code, claimed, provenance = _build(args, field)
     if (code.field, code.d, code.r, code.n) != (field, args.d, args.r, args.n):
         _err(
             f"method {args.method} produced ({code.field}, {code.d}, {code.r}, n={code.n}), "
@@ -222,11 +226,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        code, _meta = io.read_code_file(args.file)
-    except (OSError, SchemaError) as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
+    code, _meta = io.read_code_file(args.file)
     report = certify(code, tol=args.tol)
     sys.stdout.write(io.render_json(report.to_dict()) + "\n")
     if report.classification in (Classification.SSC, Classification.SOC):
@@ -236,14 +236,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     field = Field(args.field)
-    try:
-        rho = radon_hurwitz(field, args.d)
-        scap = simplex_cap(field, args.d, args.r)
-        ocap = orthoplex_cap(field, args.d, args.r)
-        obound = orthoplex_bound(args.r)
-    except InvalidParameter as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
+    rho = radon_hurwitz(field, args.d)
+    scap = simplex_cap(field, args.d, args.r)
+    ocap = orthoplex_cap(field, args.d, args.r)
+    obound = orthoplex_bound(args.r)
     if args.n is not None:
         ns = [args.n]
     elif args.n_range is not None:
@@ -283,14 +279,7 @@ def cmd_optimize(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
     )
-    try:
-        code, report = optimize(field, args.d, args.r, args.n, config=config)
-    except InvalidParameter as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
-    except NumericalFailure as exc:
-        _err(str(exc))
-        return EXIT_NUMERICAL
+    code, report = optimize(field, args.d, args.r, args.n, config=config)
     metadata = {"construction": "optimizer(putative)", "config": dataclasses.asdict(config)}
     _emit_code(args, code, metadata)
     _err(
@@ -337,14 +326,7 @@ def cmd_atlas(args) -> int:
         return EXIT_OK
     # best
     field = Field(args.field)
-    try:
-        code, report, provenance = best_known(field, args.d, args.r, args.n)
-    except InvalidParameter as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
-    except NumericalFailure as exc:
-        _err(str(exc))
-        return EXIT_NUMERICAL
+    code, report, provenance = best_known(field, args.d, args.r, args.n)
     _emit_code(args, code, {"construction": provenance, "classification": report.classification.value})
     _err(
         f"best ({field}, d={args.d}, r={args.r}, n={args.n}) via {provenance}: "
@@ -431,9 +413,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameter as exc:
+    except tuple(_EXIT_CODES) as exc:
         _err(str(exc))
-        return EXIT_BAD_INPUT
+        return next(_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES)
 
 
 def entry() -> None:  # console-script hook

@@ -4,7 +4,8 @@ Codes travel as JSON: field tag, dimensions, and an n x d x r array of
 [re, im] pairs (pairs even for real codes, whose im entries must be exactly
 zero).  Floats are written with 17 significant digits so a written file
 parses back to bit-identical doubles, and the writer is fully deterministic:
-rerunning a command reproduces the file byte for byte.
+rerunning a command reproduces the file byte for byte.  The matrices array
+never passes through per-entry Python code, in either direction.
 """
 
 from __future__ import annotations
@@ -21,24 +22,21 @@ from .errors import InvalidParameter, SchemaError
 SCHEMA_VERSION = 1
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise InvalidParameter(f"cannot serialize non-finite value {x}")
-    return format(float(x), ".17g")
-
-
-def _render(obj) -> str:
+def render_json(obj) -> str:
+    """Deterministic JSON with floats at 17 significant digits."""
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
+        items = ", ".join(f"{json.dumps(str(k))}: {render_json(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+        return "[" + ", ".join(render_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        if not math.isfinite(obj):
+            raise InvalidParameter(f"cannot serialize non-finite value {obj}")
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -46,30 +44,33 @@ def _render(obj) -> str:
     raise InvalidParameter(f"cannot serialize {type(obj).__name__}")
 
 
-def render_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    return _render(obj)
-
-
-def code_to_dict(code: StiefelCode, metadata: dict | None = None) -> dict:
-    mats = [
-        [[[float(z.real), float(z.imag)] for z in row] for row in point]
-        for point in code.array
-    ]
-    meta = dict(sorted((metadata or {}).items()))
+def _header(code: StiefelCode, metadata: dict | None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "field": code.field.value,
         "d": code.d,
         "r": code.r,
         "n": code.n,
-        "metadata": meta,
-        "matrices": mats,
+        "metadata": dict(sorted((metadata or {}).items())),
     }
 
 
+def code_to_dict(code: StiefelCode, metadata: dict | None = None) -> dict:
+    pairs = code.array.view(np.float64).reshape(*code.array.shape, 2)
+    return dict(_header(code, metadata), matrices=pairs.tolist())
+
+
 def dumps_code(code: StiefelCode, metadata: dict | None = None) -> str:
-    return _render(code_to_dict(code, metadata)) + "\n"
+    flat = code.array.view(np.float64).ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise InvalidParameter(f"cannot serialize non-finite value {flat[~finite][0]}")
+    # a template shaped like the array, filled by one format call
+    row = "[" + ", ".join(["[{:.17g}, {:.17g}]"] * code.r) + "]"
+    point = "[" + ", ".join([row] * code.d) + "]"
+    matrices = "[" + ", ".join([point] * code.n) + "]"
+    head = render_json(_header(code, metadata))
+    return head[:-1] + ', "matrices": ' + matrices.format(*flat.tolist()) + "}\n"
 
 
 def write_code_file(path, code: StiefelCode, metadata: dict | None = None) -> None:
@@ -77,38 +78,33 @@ def write_code_file(path, code: StiefelCode, metadata: dict | None = None) -> No
 
 
 def code_from_dict(data) -> tuple[StiefelCode, dict]:
+    """Validate a parsed code file; its header alone sizes no allocation."""
     if not isinstance(data, dict):
         raise SchemaError("code file must hold a JSON object")
     for key in ("schema_version", "field", "d", "r", "n", "matrices"):
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {data['schema_version']!r}")
+    version = data["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {version!r}")
     if data["field"] not in ("R", "C"):
         raise SchemaError(f"field must be 'R' or 'C', got {data['field']!r}")
     field = Field(data["field"])
+    shape = (data["n"], data["d"], data["r"], 2)
+    if any(type(v) is not int or v < 0 for v in shape):
+        raise SchemaError(f"n, d and r must be non-negative integers, got {shape[:3]!r}")
+    entries = np.array(data["matrices"], dtype=object)
+    if entries.shape != shape:
+        raise SchemaError(f"matrices array has shape {entries.shape}, expected {shape}")
+    if not set(map(type, entries.ravel())) <= {int, float}:
+        raise SchemaError("entries must be [re, im] pairs of numbers")
     try:
-        d, r, n = int(data["d"]), int(data["r"]), int(data["n"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"dimensions must be integers: {exc}") from exc
-    mats = data["matrices"]
-    arr = np.zeros((n, d, r), dtype=np.complex128)
-    try:
-        if len(mats) != n:
-            raise SchemaError(f"expected {n} matrices, got {len(mats)}")
-        for i, point in enumerate(mats):
-            if len(point) != d:
-                raise SchemaError(f"matrix {i} has {len(point)} rows, expected {d}")
-            for a, row in enumerate(point):
-                if len(row) != r:
-                    raise SchemaError(f"matrix {i} row {a} has {len(row)} entries, expected {r}")
-                for b, entry in enumerate(row):
-                    re, im = entry
-                    if not (isinstance(re, (int, float)) and isinstance(im, (int, float))):
-                        raise SchemaError("entries must be [re, im] number pairs")
-                    arr[i, a, b] = complex(re, im)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed matrices array: {exc}") from exc
+        pairs = entries.astype(np.float64)
+    except OverflowError as exc:
+        raise SchemaError(f"entry out of range: {exc}") from exc
+    if not np.isfinite(pairs).all():
+        raise SchemaError("entries must be finite numbers")
+    arr = pairs.view(np.complex128)[..., 0]
     if field is Field.REAL and np.any(arr.imag != 0.0):
         raise SchemaError("field 'R' requires every imaginary part to be zero")
     metadata = data.get("metadata") or {}
@@ -121,13 +117,28 @@ def code_from_dict(data) -> tuple[StiefelCode, dict]:
     return code, metadata
 
 
-def loads_code(text: str) -> tuple[StiefelCode, dict]:
+def _reject_constant(name: str):
+    raise SchemaError(f"non-finite number {name} is not allowed")
+
+
+class _IntTokens(dict):
+    __missing__ = staticmethod(int)
+
+
+# "-0" is the writer's spelling of -0.0, which int() would read as +0.  The
+# common tokens are dict hits, so they cost no Python-level call.
+_parse_int = _IntTokens({"-0": -0.0, "0": 0, "1": 1, "-1": -1}).__getitem__
+
+
+def loads_code(text: str | bytes) -> tuple[StiefelCode, dict]:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+    except SchemaError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also bad encodings, over-long integers
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return code_from_dict(data)
 
 
 def read_code_file(path) -> tuple[StiefelCode, dict]:
-    return loads_code(Path(path).read_text(encoding="utf-8"))
+    return loads_code(Path(path).read_bytes())

@@ -61,12 +61,10 @@ class CodeReport:
         }
 
 
-def _min_pair(dsq: np.ndarray) -> tuple[float, tuple[int, int]]:
-    n = dsq.shape[0]
-    iu = np.triu_indices(n, 1)
-    vals = dsq[iu]
-    k = int(np.argmin(vals))  # first minimum = lexicographically smallest pair
-    return float(vals[k]), (int(iu[0][k]), int(iu[1][k]))
+def _min_pair(dsq: np.ndarray, iu) -> tuple[float, tuple[int, int]]:
+    """Smallest of the squared distances `dsq` of the pairs `iu`, and its pair."""
+    k = int(np.argmin(dsq))  # first minimum = lexicographically smallest pair
+    return float(dsq[k]), (int(iu[0][k]), int(iu[1][k]))
 
 
 def min_distance(code: StiefelCode) -> tuple[float, tuple[int, int]]:
@@ -74,7 +72,8 @@ def min_distance(code: StiefelCode) -> tuple[float, tuple[int, int]]:
     achieving pair."""
     if code.n < 2:
         raise InvalidParameter("need at least 2 points")
-    sq, pair = _min_pair(_kernels.pairwise_sq_dists(code.array))
+    iu = _kernels._upper(code.n)
+    sq, pair = _min_pair(_kernels.pairwise_sq_dists(code.array)[iu], iu)
     return float(np.sqrt(sq)), pair
 
 
@@ -88,14 +87,14 @@ def certify(code: StiefelCode, tol: float = DEFAULT_CERTIFY_TOL) -> CodeReport:
     the orthoplex distance below the orthoplex regime; else suboptimal.
     Codes with a point failing the membership check at `tol` are invalid.
     """
-    if tol <= 0:
-        raise InvalidParameter(f"need tol > 0, got {tol}")
+    if not 0 < tol < np.inf:  # also false for nan
+        raise InvalidParameter(f"need a finite tol > 0, got {tol}")
     n, _, r = code.array.shape
-    dsq = _kernels.pairwise_sq_dists(code.array)
+    iu = _kernels._upper(n)
     gram = _kernels.gram_real_trace(code.array)
-    iu = np.triu_indices(n, 1)
-    min_sq, pair = _min_pair(dsq)
-    max_sq = float(dsq[iu].max())
+    dsq = _kernels.gram_sq_dists(gram)[iu]
+    min_sq, pair = _min_pair(dsq, iu)
+    max_sq = float(dsq.max())
     max_inner = float(gram[iu].max())
 
     equiangular = (max_sq - min_sq) <= tol

@@ -11,12 +11,14 @@ from stiefelcodes import (
     certify,
     min_distance,
     o2_code,
+    orthoplex_bound,
     simplex_bound,
     soc_complex_orbit,
     ssc_from_bibd,
     ssc_regular_representation,
     ssc_sphere,
 )
+from stiefelcodes import _kernels
 
 from conftest import random_code
 
@@ -103,6 +105,15 @@ def test_certify_tolerance_validation():
         certify(ssc_sphere(R, 2, 3), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_certify_rejects_non_finite_tolerance(tol):
+    # at tol = inf every code would certify as SSC
+    from stiefelcodes.errors import InvalidParameter
+
+    with pytest.raises(InvalidParameter):
+        certify(random_code(R, 3, 1, 5, seed=1), tol=tol)
+
+
 def haar_orthogonal(d, rng):
     q, rr = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(rr))
@@ -148,3 +159,37 @@ def test_report_serialization_round_trip():
     assert data["classification"] == "SSC"
     assert data["argmin_pair"] == [0, 1]
     assert isinstance(data["min_distance"], float)
+
+
+def two_kernel_fields(code: StiefelCode, tol: float) -> dict:
+    """The distance fields of a report, computed from the separate distance
+    and Gram kernels over a freshly built upper triangle."""
+    dsq = _kernels.pairwise_sq_dists(code.array)
+    gram = _kernels.gram_real_trace(code.array)
+    iu = np.triu_indices(code.n, 1)
+    vals = dsq[iu]
+    k = int(np.argmin(vals))
+    mind = float(np.sqrt(vals[k]))
+    return {
+        "min_distance": mind,
+        "argmin_pair": [int(iu[0][k]), int(iu[1][k])],
+        "max_real_inner": float(gram[iu].max()),
+        "equiangular": bool(float(vals.max()) - float(vals[k]) <= tol),
+        "simplex_gap": float(simplex_bound(code.r, code.n) - mind),
+        "orthoplex_gap": float(orthoplex_bound(code.r) - mind),
+    }
+
+
+@pytest.mark.parametrize(
+    "code",
+    [random_code(f, d, r, n, seed=s) for s, (f, d, r, n) in enumerate(
+        [(R, 3, 1, 7), (R, 5, 2, 12), (R, 4, 4, 3), (C, 2, 1, 9), (C, 4, 3, 20), (C, 6, 2, 40)]
+    )]
+    + [bibd_code(), ssc_regular_representation(5), soc_complex_orbit(2, 2, 16), o2_code(7)],
+)
+def test_certify_matches_two_kernel_computation(code):
+    report = certify(code).to_dict()
+    expected = two_kernel_fields(code, report["tol"])
+    assert {key: report[key] for key in expected} == expected
+    dist, pair = min_distance(code)
+    assert (dist, list(pair)) == (expected["min_distance"], expected["argmin_pair"])
