@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .bounds import simplex_cap
+from .bounds import radon_hurwitz
 from .core import Field, StiefelCode
 from .designs import BUILTIN_DESIGN_NAMES, builtin_design
 from .errors import (
-    InfeasibleParameters,
     InvalidParameter,
     NoKnownConstruction,
     UnsupportedDimension,
@@ -114,117 +113,113 @@ def _builtin_designs():
     return tuple((name, *builtin_design(name)) for name in BUILTIN_DESIGN_NAMES)
 
 
-def _find_ssc(field: Field, d: int, r: int, n: int, memo: dict):
-    """First SSC reachable for (field, d, r, n) along a fixed route order,
-    or None.  Returns (code, provenance)."""
-    key = (field, d, r, n)
+def _check_key(d: int, r: int, n: int) -> None:
+    if d < r or r < 1 or n < 2:
+        raise InvalidParameter(f"need d >= r >= 1 and n >= 2, got ({d}, {r}, {n})")
+
+
+def _ssc_routes(field: Field, d: int, r: int, n: int):
+    """Every SSC route whose own condition holds for (field, d, r, n), in
+    dispatch order, as (label, sub_key, build).  A route with sub_key None
+    builds with build() and its label is the provenance; otherwise build
+    maps the SSC found for sub_key to this one, and label.format(sub
+    provenance) is the provenance."""
+    m = field.m
+    if r == 1 and n <= m * d + 1:
+        yield "ssc_sphere", None, partial(ssc_sphere, field, d, n)
+    if r == d and n <= radon_hurwitz(field, d) + 1:
+        yield "ssc_radon_hurwitz", None, partial(ssc_radon_hurwitz, field, d, n)
+    if field is Field.REAL and r == d and n == d + 1:
+        yield "ssc_regular_representation", None, partial(ssc_regular_representation, d)
+    if r == 2 and d % 2 == 0 and n <= m * d + 1:
+        yield "ssc_symplectic_lift", None, partial(ssc_symplectic_lift, field, d, n)
+    for name, design, res in _builtin_designs():
+        if n == design.v and d % design.b == 0 and r % design.rep == 0:
+            sub_key = (field, d // design.b, r // design.rep, design.k)
+            build = partial(ssc_from_bibd, design=design, res=res)
+            yield f"ssc_from_bibd({name}, {{}})", sub_key, build
+    if field is Field.COMPLEX:
+        yield "ssc_complexify({})", (Field.REAL, d, r, n), ssc_complexify
+    yield "ssc_pad_row({})", (field, d - 1, r, n), ssc_pad_row
+    for k in range(2, math.gcd(d, r) + 1):
+        if d % k == 0 and r % k == 0:
+            build = partial(ssc_kronecker, k=k)
+            yield f"ssc_kronecker(k={k}, {{}})", (field, d // k, r // k, n), build
+    if field is Field.REAL and d % 2 == 0 and r % 2 == 0:
+        yield "ssc_realify({})", (Field.COMPLEX, d // 2, r // 2, n), ssc_realify
+
+
+def _find_ssc(key: tuple, memo: dict):
+    """First SSC reachable for key = (field, d, r, n) along the route order,
+    or None.  Returns (code, provenance).  Every key, sub-keys included, is
+    checked here: no SSC exists outside d >= r >= 1, n <= m*d*r + 1."""
+    field, d, r, n = key
+    if not d >= r >= 1 or n > field.m * d * r + 1:
+        return None
     if key in memo:
         return memo[key]
     memo[key] = None  # guard against revisits while this key is in progress
-    result = None
-    if n <= simplex_cap(field, d, r):
-        result = _try_ssc_routes(field, d, r, n, memo)
-    memo[key] = result
-    return result
-
-
-def _try_ssc_routes(field: Field, d: int, r: int, n: int, memo: dict):
-    m = field.m
-    if r == 1 and n <= m * d + 1:
-        return ssc_sphere(field, d, n), "ssc_sphere"
-    if r == d:
-        try:
-            return ssc_radon_hurwitz(field, d, n), "ssc_radon_hurwitz"
-        except (InfeasibleParameters, UnsupportedDimension):
-            pass
-    if field is Field.REAL and r == d and n == d + 1:
-        return ssc_regular_representation(d), "ssc_regular_representation"
-    if r == 2 and d % 2 == 0 and n <= m * d + 1:
-        return ssc_symplectic_lift(field, d, n), "ssc_symplectic_lift"
-    for name, design, res in _builtin_designs():
-        if n != design.v or d % design.b or r % design.rep:
-            continue
-        sub_d, sub_r = d // design.b, r // design.rep
-        if sub_d < sub_r:  # no Stiefel manifold to recurse into
-            continue
-        sub = _find_ssc(field, sub_d, sub_r, design.k, memo)
-        if sub is not None:
+    for label, sub_key, build in _ssc_routes(*key):
+        if sub_key is None:
+            try:
+                memo[key] = build(), label
+            except UnsupportedDimension:  # real 16 | d: no built-in family
+                continue
+        else:
+            sub = _find_ssc(sub_key, memo)
+            if sub is None:
+                continue
             code, prov = sub
-            return ssc_from_bibd(code, design, res), f"ssc_from_bibd({name}, {prov})"
-    if field is Field.COMPLEX:
-        sub = _find_ssc(Field.REAL, d, r, n, memo)
-        if sub is not None:
-            code, prov = sub
-            return ssc_complexify(code), f"ssc_complexify({prov})"
-    if d > r:
-        sub = _find_ssc(field, d - 1, r, n, memo)
-        if sub is not None:
-            code, prov = sub
-            return ssc_pad_row(code), f"ssc_pad_row({prov})"
-    for k in range(2, math.gcd(d, r) + 1):
-        if d % k == 0 and r % k == 0:
-            sub = _find_ssc(field, d // k, r // k, n, memo)
-            if sub is not None:
-                code, prov = sub
-                return ssc_kronecker(code, k), f"ssc_kronecker(k={k}, {prov})"
-    if field is Field.REAL and d % 2 == 0 and r % 2 == 0:
-        sub = _find_ssc(Field.COMPLEX, d // 2, r // 2, n, memo)
-        if sub is not None:
-            code, prov = sub
-            return ssc_realify(code), f"ssc_realify({prov})"
-    return None
+            memo[key] = build(code), label.format(prov)
+        break
+    return memo[key]
 
 
 def find_ssc(field: Field, d: int, r: int, n: int):
     """Search all SSC routes (including transforms) for the parameters;
     returns (code, provenance) or None."""
-    return _find_ssc(field, d, r, n, {})
+    _check_key(d, r, n)
+    return _find_ssc((field, d, r, n), {})
 
 
-def _soc_candidates(field: Field, d: int, r: int, n: int):
+def _exact_candidates(field: Field, d: int, r: int, n: int):
+    """Every exact construction that applies, as (code, provenance), in
+    tie-break order: circle/O(2), the first SSC route, SOC, u1_cyclic."""
     m = field.m
-    if not (m * d * r + 1 < n <= 2 * m * d * r):
-        return
-    if field is Field.COMPLEX:
-        yield soc_complex_orbit(d, r, n), "soc_complex_orbit"
-        return
-    if r == 1:
-        yield soc_sphere_real(d, n), "soc_sphere_real"
-        return
-    try:
-        full = soc_real_hadamard(d, r)
-    except (UnsupportedResidue, NoKnownConstruction, InvalidParameter):
-        return
-    if n == full.n:
-        yield full, "soc_real_hadamard"
-    elif n < full.n:
-        yield (
-            StiefelCode(Field.REAL, full.array[:n]),
-            f"soc_real_hadamard(prefix of {full.n})",
-        )
+    if field is Field.REAL and d == 2 and r == 1:
+        yield circle_code(n), "circle_code"
+    if field is Field.REAL and d == 2 and r == 2:
+        yield o2_code(n), "o2_code"
+    found = find_ssc(field, d, r, n)
+    if found is not None:
+        yield found
+    if m * d * r + 1 < n <= 2 * m * d * r:
+        if field is Field.COMPLEX:
+            yield soc_complex_orbit(d, r, n), "soc_complex_orbit"
+        elif r == 1:
+            yield soc_sphere_real(d, n), "soc_sphere_real"
+        else:
+            try:
+                full = soc_real_hadamard(d, r)
+            except (UnsupportedResidue, NoKnownConstruction):
+                return  # u1_cyclic, the one later candidate, is complex
+            if n == full.n:
+                yield full, "soc_real_hadamard"
+            elif n < full.n:
+                prefix = StiefelCode(Field.REAL, full.array[:n])
+                yield prefix, f"soc_real_hadamard(prefix of {full.n})"
+    if field is Field.COMPLEX and d == 1 and r == 1:
+        # uniform spacing is optimal on the circle of C for every n; listed
+        # last so bound-achieving routes keep ties (they cover n <= 4)
+        yield _u1_code(n), "u1_cyclic"
 
 
 def best_exact(field: Field, d: int, r: int, n: int):
     """Best exact construction for the parameters, or None when nothing
     implemented applies.  Returns (code, report, provenance)."""
-    if d < r or r < 1 or n < 2:
-        raise InvalidParameter(f"need d >= r >= 1 and n >= 2, got ({d}, {r}, {n})")
-    candidates: list[tuple[StiefelCode, str]] = []
-    if field is Field.REAL and d == 2 and r == 1:
-        candidates.append((circle_code(n), "circle_code"))
-    if field is Field.REAL and d == 2 and r == 2:
-        candidates.append((o2_code(n), "o2_code"))
-    found = find_ssc(field, d, r, n)
-    if found is not None:
-        candidates.append(found)
-    candidates.extend(_soc_candidates(field, d, r, n))
-    if field is Field.COMPLEX and d == 1 and r == 1:
-        # uniform spacing is optimal on the circle of C for every n; listed
-        # last so bound-achieving routes keep ties (they cover n <= 4)
-        candidates.append((_u1_code(n), "u1_cyclic"))
-
+    _check_key(d, r, n)
     best = None
-    for code, prov in candidates:
+    for code, prov in _exact_candidates(field, d, r, n):
         report = certify(code)
         if best is None or report.min_distance > best[1].min_distance + 1e-12:
             best = (code, report, prov)
@@ -236,10 +231,9 @@ def best_known(
 ) -> tuple[StiefelCode, CodeReport, str]:
     """Best implemented construction for the parameters, with provenance.
 
-    Tries the closed-form atlas cases, every SSC route, and every SOC route,
-    certifies each candidate, and keeps the largest min distance (first
-    found wins ties).  When nothing applies, falls back to the numerical
-    optimizer and marks the result putative.
+    Takes `best_exact` when any exact construction applies.  When nothing
+    applies, falls back to the numerical optimizer and marks the result
+    putative.
     """
     best = best_exact(field, d, r, n)
     if best is not None:

@@ -161,15 +161,16 @@ def _build(args, field: Field):
             seed = _load_seed(args)
             prov = f"ssc_from_bibd({args.design}, file)"
         else:
-            if args.d % design.b or args.r % design.rep:
+            sub_d, sub_r = args.d // design.b, args.r // design.rep
+            if args.d % design.b or args.r % design.rep or not sub_d >= sub_r >= 1:
                 raise InvalidParameter(
-                    f"design needs d divisible by {design.b} and r by {design.rep}"
+                    f"design {args.design} needs a seed key (d/{design.b}, r/{design.rep},"
+                    f" {design.k}) of whole numbers with d/{design.b} >= r/{design.rep} >= 1,"
+                    f" got ({args.d}/{design.b}, {args.r}/{design.rep}, {design.k})"
                 )
-            found = find_ssc(field, args.d // design.b, args.r // design.rep, design.k)
+            found = find_ssc(field, sub_d, sub_r, design.k)
             if found is None:
-                raise InfeasibleParameters(
-                    f"no seed ({args.d // design.b}, {args.r // design.rep}, {design.k})-SSC available"
-                )
+                raise InfeasibleParameters(f"no seed ({sub_d}, {sub_r}, {design.k})-SSC available")
             seed, sub = found
             prov = f"ssc_from_bibd({args.design}, {sub})"
         return ssc_from_bibd(seed, design, res), ssc, prov

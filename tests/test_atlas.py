@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelcodes import (
     Classification,
@@ -16,6 +18,7 @@ from stiefelcodes import (
     o2_k,
     o2_solution,
 )
+from stiefelcodes.atlas import _find_ssc, _ssc_routes
 from stiefelcodes.errors import InvalidParameter
 
 from conftest import brute_min_distance
@@ -147,6 +150,57 @@ def test_best_exact_never_crashes_on_grid():
                     code, report, prov = found
                     assert (code.field, code.d, code.r, code.n) == (field, d, r, n), prov
                     assert report.classification is not Classification.INVALID, prov
+
+
+@st.composite
+def in_range_keys(draw):
+    """(field, d <= 12, r <= d, 2 <= n <= 2mdr + 1): every n up to one past
+    the orthoplex cap."""
+    field = draw(st.sampled_from([R, C]))
+    d = draw(st.integers(1, 12))
+    r = draw(st.integers(1, d))
+    n = draw(st.integers(2, 2 * field.m * d * r + 1))
+    return field, d, r, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(in_range_keys())
+def test_best_exact_gives_none_or_a_valid_code(key):
+    found = best_exact(*key)
+    if found is not None:
+        code, report, prov = found
+        assert (code.field, code.d, code.r, code.n) == key, prov
+        assert report.classification is not Classification.INVALID, prov
+
+
+@pytest.mark.parametrize("fn", [best_exact, find_ssc])
+@pytest.mark.parametrize(
+    "d,r,n", [(3, 2, 1), (3, 2, 0), (2, 3, 4), (1, 0, 3), (0, 0, 2), (-1, -2, 3)]
+)
+def test_invalid_keys_raise(fn, d, r, n):
+    with pytest.raises(InvalidParameter, match="need d >= r >= 1 and n >= 2"):
+        fn(R, d, r, n)
+
+
+def test_every_ssc_route_builds_an_ssc():
+    # every route whose condition holds, not only the first that succeeds
+    builds = 0
+    for field in (R, C):
+        for d in range(1, 10):
+            for r in range(1, d + 1):
+                for n in range(2, field.m * d * r + 2):
+                    for label, sub_key, build in _ssc_routes(field, d, r, n):
+                        if sub_key is None:
+                            code = build()
+                        else:
+                            sub = _find_ssc(sub_key, {})
+                            if sub is None:
+                                continue
+                            code = build(sub[0])
+                        assert (code.field, code.d, code.r, code.n) == (field, d, r, n), label
+                        assert certify(code).classification is Classification.SSC, label
+                        builds += 1
+    assert builds == 1003
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,18 @@ def test_construct_missing_design_file_exits_two(tmp_path, capsys):
     assert rc == EXIT_BAD_INPUT
 
 
+def test_construct_bibd_seed_key_outside_the_manifold_exits_two(capsys):
+    # k4-edges has b = 6, rep = 3: d = r = 6 asks for a (1, 2, 2) seed
+    rc, err = run(
+        capsys,
+        "construct", "--field", "R", "--d", "6", "--r", "6", "--n", "4",
+        "--method", "bibd", "--design", "builtin:k4-edges",
+    )
+    assert rc == EXIT_BAD_INPUT
+    assert "builtin:k4-edges" in err and "(6/6, 6/3, 2)" in err
+    assert err.count("\n") == 1
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     rc, _ = run(
         capsys,
