@@ -2,12 +2,13 @@
 chordal distances, and the smoothed min-distance objective used by the
 optimizer.
 
-Every kernel runs on one product.  A complex128 stack of n points of shape
-(d, r) is viewed as n real rows of length 2*d*r,
-``V = mats.view(np.float64).reshape(n, 2*d*r)``, and ``V @ V.T`` is
-Re Tr(X_i* X_j) exactly: one real GEMM, with no complex product.  Squared
-distances come from its diagonal, d2_ij = G_ii + G_jj - 2 G_ij, and the
-gradient of a weighted sum of squared distances is ``2 (diag(rowsum W) - W) V``.
+Every kernel runs on one product.  A stack of n points of shape (d, r) is
+viewed as n real rows, ``V = mats.view(np.float64).reshape(n, -1)``: rows of
+length d*r for a float64 (real-field) stack, where the view is the identity,
+and of length 2*d*r for a complex128 stack.  ``V @ V.T`` is Re Tr(X_i* X_j)
+exactly: one real GEMM, with no complex product.  Squared distances come
+from its diagonal, d2_ij = G_ii + G_jj - 2 G_ij, and the gradient of a
+weighted sum of squared distances is ``2 (diag(rowsum W) - W) V``.
 
 The two softmin kernels also accept a leading restart axis, (R, n, d, r), and
 then return one value per restart.  Each restart's numbers do not depend on
@@ -33,9 +34,17 @@ def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
     return idx
 
 
-def _rows(mats: np.ndarray) -> np.ndarray:
-    """The (..., n, 2*d*r) float64 view of an (..., n, d, r) complex stack."""
-    mats = np.ascontiguousarray(mats, dtype=np.complex128)
+def _stack(mats) -> np.ndarray:
+    """`mats` as a C-contiguous float64 or complex128 array."""
+    mats = np.asarray(mats)
+    return np.ascontiguousarray(mats, dtype=np.result_type(mats, np.float64))
+
+
+def _rows(mats) -> np.ndarray:
+    """The (..., n, m*d*r) float64 view of an (..., n, d, r) stack: the
+    identity for float64 (m = 1), real and imaginary parts interleaved for
+    complex128 (m = 2)."""
+    mats = _stack(mats)
     return mats.view(np.float64).reshape(*mats.shape[:-2], -1)
 
 
@@ -70,7 +79,7 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     the whole array, so a row's sum would change with the size of the stack
     it sits in; an accumulation has only one order.
     """
-    return np.cumsum(a, axis=-1)[..., -1]
+    return np.add.accumulate(a, axis=-1)[..., -1]
 
 
 def _softmin_terms(v: np.ndarray, beta: float):
@@ -102,7 +111,8 @@ def softmin_value(mats: np.ndarray, beta: float):
 
 def softmin_value_grad(mats: np.ndarray, beta: float):
     """Value and ambient (Euclidean) gradient of the smoothed objective,
-    shaped like `mats`."""
+    shaped and typed like `mats` (float64 stays real)."""
+    mats = _stack(mats)
     v = _rows(mats)
     w, f = _softmin_terms(v, beta)
     n = v.shape[-2]
@@ -113,7 +123,7 @@ def softmin_value_grad(mats: np.ndarray, beta: float):
     diag = np.arange(n)
     lap[..., diag, diag] = -row_sums(lap)
     grad = 2.0 * (lap @ v)
-    return _scalar(f, mats), grad.view(np.complex128).reshape(np.shape(mats))
+    return _scalar(f, mats), grad.view(mats.dtype).reshape(mats.shape)
 
 
 def backend() -> str:

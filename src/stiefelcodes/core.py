@@ -3,7 +3,9 @@
 A point of St_F(d, r) is a d x r matrix over F in {R, C} with orthonormal
 columns.  Entries are always stored as complex128; a real-field object is
 one whose imaginary parts are exactly zero, so there is a single code path
-and the field constraint is a testable invariant.
+and the field constraint is a testable invariant.  The optimizer iterates
+real-field stacks in float64, but the codes it returns are stored as
+complex128 like every other code.
 """
 
 from __future__ import annotations

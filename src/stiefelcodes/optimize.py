@@ -2,14 +2,17 @@
 
 The nonsmooth objective min_{i<j} ||X_i - X_j||_F^2 is replaced by the
 smooth surrogate -(1/beta) log sum exp(-beta d2_ij), ascended by projected
-gradient with a QR retraction and Armijo backtracking while beta grows on a
-geometric schedule.  All restarts advance together as one (R, n, d, r)
-stack; each has its own Armijo search, warm-started at twice its last
-accepted step (Wen & Yin, Math. Prog. 2013), and its own stop rules.
-Everything is deterministic for a fixed configuration: restart streams come
-from a counter-based split of the master seed, a restart's bytes do not
-depend on the rest of the stack, and the best restart is chosen by
-(min distance, lowest restart index).
+gradient with a Gram-Schmidt (QR) retraction and Armijo backtracking while
+beta grows on a geometric schedule.  All restarts advance together as one
+(R, n, d, r) stack, float64 for the reals and complex128 for the complexes;
+the final code is stored as complex128.  Each restart has its own Armijo
+search, warm-started at twice its last accepted step (Wen & Yin, Math. Prog.
+2013), and its own stop rules; it leaves a beta stage once an accepted step
+no longer raises the surrogate, which happens when the surrogate reaches
+float resolution.  Everything is deterministic for a fixed configuration:
+restart streams come from a counter-based split of the master seed, a
+restart's bytes do not depend on the rest of the stack, and the best restart
+is chosen by (min distance, lowest restart index).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bounds import simplex_bound
+from .bounds import orthoplex_result, simplex_result
 from .core import Field, StiefelCode, StiefelPoint
 from .errors import InvalidParameter, NumericalFailure
 from .verify import CodeReport, certify
@@ -61,26 +64,43 @@ class OptimizerConfig:
 
 
 def _retract(mats: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of each point (thin QR, positive diagonal);
-    any leading axes are a batch."""
-    q, rr = np.linalg.qr(mats)
-    diag = np.diagonal(rr, axis1=-2, axis2=-1)
-    absd = np.abs(diag)
-    phase = np.where(absd == 0, 1.0 + 0j, diag / np.where(absd == 0, 1.0, absd))
-    return q * phase[..., None, :]
+    """Orthonormalize the columns of each point; any leading axes are a batch.
+
+    Gram-Schmidt over the r columns, each projected against the finished
+    ones twice ("twice is enough"), gives the thin-QR factor Q with a
+    positive real diagonal in R.  Every sum runs in a fixed order, so a
+    point's bytes do not depend on the batch it sits in.  A column that
+    vanishes raises NumericalFailure.
+    """
+    # a float64 or complex128 copy in which column j is the row cols[..., j, :]
+    cols = np.array(np.swapaxes(mats, -1, -2), dtype=np.result_type(mats, np.float64), order="C")
+    for j in range(cols.shape[-2]):
+        v = cols[..., j, :]
+        done = cols[..., :j, :]
+        for _ in range(2 if j else 0):  # column 0 has nothing to project out
+            coef = _kernels.row_sums(done.conj() * v[..., None, :])
+            v = v - _kernels.row_sums(np.swapaxes(done, -1, -2) * coef[..., None, :])
+        w = v.view(np.float64)
+        norm = np.sqrt(_kernels.row_sums(w * w))
+        if not 0 < norm.min() <= norm.max() < np.inf:  # also false for nan
+            raise NumericalFailure(f"column {j} vanished in the retraction")
+        cols[..., j, :] = v / norm[..., None]
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
 
 
 def _tangent_project(mats: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Project ambient gradients onto the tangent spaces: G - X herm(X* G)."""
-    xtg = np.conj(np.swapaxes(mats, -1, -2)) @ grads
-    herm = 0.5 * (xtg + np.conj(np.swapaxes(xtg, -1, -2)))
+    xtg = np.swapaxes(mats, -1, -2).conj() @ grads  # .conj() is free on float64
+    herm = 0.5 * (xtg + np.swapaxes(xtg, -1, -2).conj())
     return grads - mats @ herm
 
 
 def _gaussian_stack(field: Field, d: int, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    out = rng.standard_normal((n, d, r)).astype(np.complex128)
+    """Gaussian (n, d, r) entries: float64 for the reals, complex128 for the
+    complexes (real parts drawn first)."""
+    out = rng.standard_normal((n, d, r))
     if field is Field.COMPLEX:
-        out += 1j * rng.standard_normal((n, d, r))
+        out = out + 1j * rng.standard_normal((n, d, r))
     return out
 
 
@@ -107,11 +127,14 @@ def _sq_norms(stack: np.ndarray) -> np.ndarray:
 def _ascend(field: Field, d: int, r: int, n: int, config: OptimizerConfig, indices):
     """Run the restarts `indices` as one (R, n, d, r) stack.
 
+    The stack is float64 for the reals and complex128 for the complexes.
     Each restart has its own Armijo search, started at twice its last
     accepted step (capped at `step_size`), and leaves a beta stage when its
-    projected gradient vanishes or its search fails.  A restart's bytes do
-    not depend on which other restarts share the stack.  Returns the min
-    squared distance of each restart and the final stack.
+    projected gradient vanishes, when its search fails `MAX_BACKTRACKS`
+    times, or when it accepts a step that leaves the surrogate unchanged
+    (`f + c t |xi|^2` rounds to `f`, so no further step can show progress).
+    A restart's bytes do not depend on which other restarts share the stack.
+    Returns the min squared distance of each restart and the final stack.
     """
     indices = list(indices)
     x = _retract(
@@ -135,6 +158,7 @@ def _ascend(field: Field, d: int, r: int, n: int, config: OptimizerConfig, indic
                 live, xs, f, xi, gsq = live[moving], xs[moving], f[moving], xi[moving], gsq[moving]
             t = np.minimum(config.step_size, 2.0 * step[live])
             pending = np.ones(live.size, dtype=bool)
+            stalled = np.zeros(live.size, dtype=bool)
             for _ in range(MAX_BACKTRACKS):
                 p = np.flatnonzero(pending)
                 if p.size == 0:
@@ -144,9 +168,10 @@ def _ascend(field: Field, d: int, r: int, n: int, config: OptimizerConfig, indic
                 ok = fy >= f[p] + ARMIJO_C * t[p] * gsq[p]
                 x[live[p[ok]]] = y[ok]
                 pending[p[ok]] = False
+                stalled[p[ok]] = fy[ok] <= f[p[ok]]
                 t[p[~ok]] *= config.backtrack
             step[live[~pending]] = t[~pending]
-            live = live[~pending]
+            live = live[~(pending | stalled)]
             if live.size == 0:
                 break
     iu = np.triu_indices(n, 1)
@@ -163,7 +188,10 @@ def optimize(
     """Best code over independent random restarts, with its certification.
 
     All restarts advance together as one batch; the best is the largest
-    min distance, the lowest restart index on ties.
+    min distance, the lowest restart index on ties.  The code is stored as
+    complex128 whatever the field.  A min distance above the bound in force
+    (simplex up to the simplex cap, orthoplex past it) by more than
+    `distance_tol` raises NumericalFailure.
     """
     if d < r or r < 1 or n < 2:
         raise InvalidParameter(f"need d >= r >= 1 and n >= 2, got ({d}, {r}, {n})")
@@ -173,9 +201,12 @@ def optimize(
 
     code = StiefelCode(field, stack[best_idx])
     report = certify(code)
-    if report.min_distance > simplex_bound(r, n) + config.distance_tol:
+    bound = simplex_result(field, d, r, n)
+    if n > bound.max_n:
+        bound = orthoplex_result(field, d, r)
+    if report.min_distance > bound.value + config.distance_tol:
         raise NumericalFailure(
-            f"min distance {report.min_distance} exceeds the simplex bound"
+            f"min distance {report.min_distance} exceeds the {bound.kind.value} bound {bound.value}"
         )
     return code, report
 

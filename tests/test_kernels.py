@@ -111,3 +111,19 @@ def test_restart_stack_matches_single_codes():
             f, g = _kernels.softmin_value_grad(stack[k], beta)
             assert values[k] == fs[k] == f == _kernels.softmin_value(stack[k], beta)
             assert np.array_equal(grads[k], g)
+
+
+def test_real_stack_stays_real():
+    # a float64 stack is its own row view; the gradient comes back float64 and
+    # agrees with the complex128 computation on the same entries
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal((3, 6, 4, 2))
+    for mats in (real, real[0]):
+        f, g = _kernels.softmin_value_grad(mats, 16.0)
+        fc, gc = _kernels.softmin_value_grad(mats.astype(np.complex128), 16.0)
+        assert g.dtype == np.float64 and g.shape == mats.shape
+        assert gc.dtype == np.complex128
+        assert np.allclose(f, fc, rtol=0, atol=1e-13)
+        assert np.abs(g - gc.real).max() <= 1e-13
+        assert not gc.imag.any()
+    assert np.shares_memory(_kernels._rows(real), real)

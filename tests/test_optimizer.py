@@ -12,8 +12,8 @@ from stiefelcodes import (
     optimize,
     random_stiefel,
 )
-from stiefelcodes.errors import InvalidParameter
-from stiefelcodes.optimize import _retract, _tangent_project
+from stiefelcodes.errors import InvalidParameter, NumericalFailure
+from stiefelcodes.optimize import _ascend, _retract, _tangent_project
 
 R, C = Field.REAL, Field.COMPLEX
 
@@ -66,6 +66,59 @@ def test_retraction_orthonormalizes():
     q = _retract(y)
     for i in range(4):
         assert is_stiefel(q[i], R, 1e-12)
+
+
+def _qr_positive(mats):
+    """Thin-QR Q with a positive real diagonal in R, from LAPACK."""
+    q, rr = np.linalg.qr(mats)
+    diag = np.diagonal(rr, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _batches():
+    rng = np.random.default_rng(11)
+    out = []
+    for shape in [(5, 6, 3), (2, 3, 4, 4), (7, 9, 1), (3, 12, 8), (4, 2, 2)]:
+        out.append(rng.standard_normal(shape))
+        out.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return out
+
+
+@pytest.mark.parametrize("mats", _batches(), ids=lambda m: f"{m.dtype}{m.shape}")
+def test_retract_matches_positive_diagonal_qr(mats):
+    q = _retract(mats)
+    assert q.dtype == mats.dtype and q.shape == mats.shape
+    assert np.abs(q - _qr_positive(mats)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mats", _batches(), ids=lambda m: f"{m.dtype}{m.shape}")
+def test_retract_factor_is_upper_triangular_with_positive_diagonal(mats):
+    q = _retract(mats)
+    rr = np.conj(np.swapaxes(q, -1, -2)) @ mats
+    scale = np.abs(mats).max()
+    assert np.abs(np.tril(rr, -1)).max() <= 1e-13 * scale
+    diag = np.diagonal(rr, axis1=-2, axis2=-1)
+    assert np.all(diag.real > 0)
+    assert np.abs(diag.imag).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_retract_vanishing_column_raises(dtype, col):
+    mats = np.random.default_rng(2).standard_normal((4, 5, 3)).astype(dtype)
+    mats[2, :, col] = 0.0
+    with pytest.raises(NumericalFailure):
+        _retract(mats)
+
+
+def test_retract_non_finite_raises():
+    mats = np.ones((2, 3, 2))
+    mats[1, 0, 0] = np.inf
+    with pytest.raises(NumericalFailure):
+        _retract(mats)
+    mats[1, 0, 0] = np.nan
+    with pytest.raises(NumericalFailure):
+        _retract(mats)
 
 
 @pytest.mark.parametrize(
@@ -124,14 +177,57 @@ def test_optimize_deterministic_rerun():
 
 def test_optimize_restart_bytes_do_not_depend_on_batch():
     # white-box: restart i alone and restart i inside a batch of 16 agree
-    from stiefelcodes.optimize import _ascend
-
     config = OptimizerConfig(restarts=16, max_iters=300, seed=3)
-    mins, stack = _ascend(C, 3, 2, 5, config, range(16))
-    for i in (0, 5, 15):
-        one_min, one = _ascend(C, 3, 2, 5, config, [i])
-        assert one_min == [mins[i]]
-        assert one[0].tobytes() == stack[i].tobytes()
+    for field, d, r, n in [(C, 3, 2, 5), (R, 12, 2, 6)]:
+        mins, stack = _ascend(field, d, r, n, config, range(16))
+        for i in (0, 5, 15):
+            one_min, one = _ascend(field, d, r, n, config, [i])
+            assert one_min == [mins[i]]
+            assert one[0].tobytes() == stack[i].tobytes()
+
+
+def test_real_field_runs_in_float64():
+    _, stack = _ascend(R, 3, 2, 5, OptimizerConfig(restarts=3, max_iters=50), range(3))
+    assert stack.dtype == np.float64
+    _, stack = _ascend(C, 2, 1, 3, OptimizerConfig(restarts=3, max_iters=50), range(3))
+    assert stack.dtype == np.complex128
+    code, report = optimize(R, 3, 2, 5, config=OptimizerConfig(restarts=3, max_iters=50))
+    assert code.array.dtype == np.complex128
+    assert code.is_real_storage()
+    assert report.classification is not Classification.INVALID
+
+
+def test_stage_exit_at_float_resolution(monkeypatch):
+    # Once an accepted step leaves the surrogate unchanged, the restart
+    # leaves its beta stage instead of spending failed backtracks there.
+    from stiefelcodes import _kernels
+
+    calls = []
+    grad = _kernels.softmin_value_grad
+
+    def counted(mats, beta):
+        calls.append(beta)
+        return grad(mats, beta)
+
+    monkeypatch.setattr(_kernels, "softmin_value_grad", counted)
+    _, report = optimize(R, 2, 1, 5, config=OptimizerConfig(seed=4206763307))
+    assert len(calls) <= 100
+    assert report.min_distance == pytest.approx(2 * math.sin(math.pi / 5), abs=1e-9)
+
+
+def test_optimize_checks_the_orthoplex_bound_past_the_simplex_cap(monkeypatch):
+    # R(2,1,4) is past the simplex cap 3, so sqrt(2) is the bound in force; a
+    # scaled square sits between sqrt(2) and the simplex bound sqrt(8/3).
+    import sys
+
+    opt = sys.modules["stiefelcodes.optimize"]  # the package re-exports optimize()
+    angles = np.arange(4) * (np.pi / 2)
+    square = 1.1 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, :, None]
+    mind = 1.1 * math.sqrt(2)
+    assert math.sqrt(2) + 1e-6 < mind < math.sqrt(8 / 3)
+    monkeypatch.setattr(opt, "_ascend", lambda *args: ([mind**2], square[None]))
+    with pytest.raises(NumericalFailure, match="Orthoplex"):
+        optimize(R, 2, 1, 4)
 
 
 _BLAS_SNIPPET = """
